@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"maest/internal/congest"
@@ -219,47 +220,111 @@ func resolveModules(ctx context.Context, mods []PlanModule, nets []Net, cfg conf
 	return ms, nil
 }
 
-// searcher carries one search's shared state: the routability memo
-// (per module and row count — row choice is what the anneal varies,
-// so the engine is asked about each (module, rows) pair once) and the
-// effort counters.
+// searcher carries one search's shared state: the effort counters
+// and the evaluation buffers every move reuses.
 type searcher struct {
 	ctx    context.Context
 	chip   string
-	nets   []Net
 	cfg    config
 	byName map[string]*mod
-	rout   map[routKey]float64
 	stats  SearchStats
+
+	// leaves and internal are the balanced slicing tree (internal
+	// bottom-up, root last); root is its top.
+	leaves, internal []*node
+	root             *node
+	cuts             cutBufs
+	// netPins holds each global net's pins resolved to module
+	// indices (nets with no known pin dropped).
+	netPins [][]int
+	// placed is the root candidate being scored, realized in slot
+	// (= order) position; centre holds its block centres by module
+	// index.
+	placed []Placed
+	centre []point
+	// win is the last evaluation's cheapest root candidate.
+	win winner
 }
 
-type routKey struct {
-	name string
-	rows int
+// routMemo is one (module, rows) routability answer.
+type routMemo struct {
+	risk  float64
+	known bool
+}
+
+type point struct{ x, y float64 }
+
+// winner is an evaluation's cheapest root candidate: its index in the
+// root's combos and the score it earned.
+type winner struct {
+	idx         int
+	routability float64
+	cost        float64
+}
+
+// newSearcher prepares one search over ms: leaf staircases, module
+// indices, resolved nets and the slicing tree are built here, once,
+// so that an evaluation only recombines and rescores.
+func newSearcher(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) *searcher {
+	sc := &searcher{
+		ctx:    ctx,
+		chip:   chip,
+		cfg:    cfg,
+		byName: make(map[string]*mod, len(ms)),
+		cuts:   newCutBufs(),
+		placed: make([]Placed, len(ms)),
+		centre: make([]point, len(ms)),
+	}
+	for i, m := range ms {
+		m.idx = i
+		m.front = make([]combo, len(m.shapes))
+		for si, s := range m.shapes {
+			m.front[si] = combo{w: s.w, h: s.h, shapeIdx: si}
+		}
+		m.front = pareto(m.front)
+		m.rout = make([]routMemo, len(m.shapes))
+		m.routOf = make([]int, len(m.shapes))
+		for si, s := range m.shapes {
+			m.routOf[si] = slices.IndexFunc(m.shapes, func(o shapeCand) bool { return o.rows == s.rows })
+		}
+		sc.byName[m.name] = m
+	}
+	for _, nt := range nets {
+		var pins []int
+		for _, pin := range nt.Pins {
+			if m := sc.byName[pin.Module]; m != nil {
+				pins = append(pins, m.idx)
+			}
+		}
+		if len(pins) > 0 {
+			sc.netPins = append(sc.netPins, pins)
+		}
+	}
+	sc.leaves, sc.internal = buildTree(len(ms))
+	sc.root = sc.leaves[0]
+	if len(sc.internal) > 0 {
+		sc.root = sc.internal[len(sc.internal)-1]
+	}
+	return sc
 }
 
 // run is the shared search core behind both entry points: greedy
 // clustering + slicing combination always, simulated annealing over
 // the clustering order when the budget allows.
 func run(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) (*Plan, error) {
-	sc := &searcher{
-		ctx:    ctx,
-		chip:   chip,
-		nets:   nets,
-		cfg:    cfg,
-		byName: make(map[string]*mod, len(ms)),
-		rout:   map[routKey]float64{},
-	}
-	for _, m := range ms {
-		sc.byName[m.name] = m
-	}
+	sc := newSearcher(ctx, chip, ms, nets, cfg)
+	defer func() {
+		mRoutLookups.Add(int64(sc.stats.RoutLookups))
+		mRoutMemoHits.Add(int64(sc.stats.RoutMemoHits))
+	}()
 	order := clusterOrder(ms, nets)
-	best, err := sc.eval(order)
-	if err != nil {
+	if _, err := sc.eval(order); err != nil {
 		return nil, err
 	}
+	best := sc.plan()
 	sc.stats.InitialCost = best.Cost
 	if cfg.budget > 0 && len(order) > 1 {
+		var err error
 		if best, err = sc.anneal(order, best); err != nil {
 			return nil, err
 		}
@@ -274,14 +339,15 @@ func run(ctx context.Context, chip string, ms []*mod, nets []Net, cfg config) (*
 
 // anneal perturbs the clustering order by pairwise swaps under
 // Metropolis acceptance with geometric cooling.  Deterministic in the
-// seed; cancellation is checked on every move.
-func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
+// seed; cancellation is checked on every move.  A move that does not
+// beat the best cost allocates nothing: only a new best is turned
+// into a Plan.
+func (sc *searcher) anneal(order []*mod, best *Plan) (*Plan, error) {
 	const (
 		startTempFrac = 0.2  // initial temperature as a fraction of the initial cost
 		endTempFrac   = 1e-4 // final temperature fraction: effectively greedy by the end
 	)
-	best, cur := initial, initial
-	bestCost, curCost := initial.Cost, initial.Cost
+	bestCost, curCost := best.Cost, best.Cost
 	rng := rand.New(rand.NewSource(sc.cfg.seed))
 	temp := curCost * startTempFrac
 	cool := math.Pow(endTempFrac/startTempFrac, 1/float64(sc.cfg.budget))
@@ -296,16 +362,16 @@ func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
 			j++
 		}
 		order[i], order[j] = order[j], order[i]
-		cand, err := sc.eval(order)
+		cost, err := sc.eval(order)
 		if err != nil {
 			return nil, err
 		}
-		delta := cand.Cost - curCost
+		delta := cost - curCost
 		if delta <= 0 || (temp > 0 && rng.Float64() < math.Exp(-delta/temp)) {
-			cur, curCost = cand, cand.Cost
+			curCost = cost
 			mAnnealAccepted.Inc()
 			if curCost < bestCost {
-				best, bestCost = cand, curCost
+				best, bestCost = sc.plan(), curCost
 			}
 		} else {
 			order[i], order[j] = order[j], order[i]
@@ -320,118 +386,161 @@ func (sc *searcher) anneal(order []*mod, initial *Plan) (*Plan, error) {
 			})
 		}
 	}
-	_ = cur
 	return best, nil
 }
 
-// eval builds and scores one plan from a module order: pareto'd leaf
-// shapes → balanced slicing tree → combined shape lists → the
-// cheapest root realization under the configured objective.
-func (sc *searcher) eval(order []*mod) (*Plan, error) {
+// eval scores one module order and returns the cheapest root
+// candidate's cost, remembering the candidate in sc.win: the leaves
+// take the order's cached staircases, each internal node recombines
+// its children, and every root candidate is realized into sc.placed
+// and scored under the configured objective.  It allocates nothing
+// once the node buffers have grown and the routability memo is warm.
+func (sc *searcher) eval(order []*mod) (float64, error) {
 	sc.stats.Evals++
-	leaves := make([]*node, len(order))
-	for i, m := range order {
-		n := &node{leaf: m}
-		for si, s := range m.shapes {
-			n.combos = append(n.combos, combo{w: s.w, h: s.h, shapeIdx: si})
-		}
-		n.combos = pareto(n.combos)
-		leaves[i] = n
+	for k, m := range order {
+		sc.leaves[k].leaf, sc.leaves[k].combos = m, m.front
 	}
-	root := buildTree(leaves)
-	combineAll(root)
-	if len(root.combos) == 0 {
-		return nil, fmt.Errorf("%w: no feasible shape combination", ErrPlan)
+	for _, n := range sc.internal {
+		n.combos = sc.cuts.combine(n.combos, n.left.combos, n.right.combos)
 	}
-	mkPlan := func(idx int) *Plan {
-		plan := &Plan{Chip: sc.chip, byName: map[string]*Placed{}}
-		plan.Width = root.combos[idx].w
-		plan.Height = root.combos[idx].h
-		realize(root, idx, 0, 0, plan)
-		plan.WireLength = wireLength(sc.nets, plan)
-		return plan
+	root := sc.root.combos
+	if len(root) == 0 {
+		return 0, fmt.Errorf("%w: no feasible shape combination", ErrPlan)
 	}
 	if sc.cfg.wireWeight <= 0 && sc.cfg.congestWeight <= 0 {
-		// Pure minimum area: one realization, the legacy PlanChip
-		// behavior (first strictly-smaller index wins ties).
+		// Pure minimum area: the legacy PlanChip behavior (first
+		// strictly-smaller index wins ties), no realization needed.
 		best := 0
-		for i, c := range root.combos {
-			if c.w*c.h < root.combos[best].w*root.combos[best].h {
+		for i, c := range root {
+			if c.w*c.h < root[best].w*root[best].h {
 				best = i
 			}
 		}
-		plan := mkPlan(best)
-		plan.Cost = plan.Area()
-		return plan, nil
+		sc.win = winner{idx: best, cost: root[best].w * root[best].h}
+		return sc.win.cost, nil
 	}
-	// Weighted objective: realize every Pareto root shape and score
-	// each.  The √area factor keeps area and wire length commensurable
-	// across chip sizes; the congestion factor scales the whole
-	// geometric cost so routability trades against silicon directly.
-	var best *Plan
-	bestScore := math.Inf(1)
-	for i := range root.combos {
-		p := mkPlan(i)
-		if err := sc.score(p); err != nil {
-			return nil, err
+	// Weighted objective: realize every root candidate and score
+	// each.  The √area factor keeps area and wire length
+	// commensurable across chip sizes; the congestion factor scales
+	// the whole geometric cost so routability trades against silicon
+	// directly.
+	sc.win = winner{idx: -1, cost: math.Inf(1)}
+	for i, c := range root {
+		sc.realize(sc.root, i, 0, 0)
+		area := c.w * c.h
+		cost := area
+		if sc.cfg.wireWeight > 0 {
+			cost += sc.cfg.wireWeight * sc.wireLength() * math.Sqrt(area)
 		}
-		if p.Cost < bestScore {
-			best, bestScore = p, p.Cost
+		r := 0.0
+		if sc.cfg.congestWeight > 0 {
+			var err error
+			if r, err = sc.routability(); err != nil {
+				return 0, err
+			}
+			cost *= 1 + sc.cfg.congestWeight*r
+		}
+		if cost < sc.win.cost {
+			sc.win = winner{idx: i, routability: r, cost: cost}
 		}
 	}
-	return best, nil
+	if sc.win.idx < 0 {
+		return 0, fmt.Errorf("%w: no shape combination has a finite cost", ErrPlan)
+	}
+	return sc.win.cost, nil
 }
 
-// score computes a realized plan's objective value, filling Cost and
-// Routability.
-func (sc *searcher) score(p *Plan) error {
-	cost := p.Area()
-	if sc.cfg.wireWeight > 0 {
-		cost += sc.cfg.wireWeight * p.WireLength * math.Sqrt(p.Area())
-	}
-	if sc.cfg.congestWeight > 0 {
-		r, err := sc.routability(p)
-		if err != nil {
-			return err
+// realize walks the tree placing the blocks of root candidate ci into
+// sc.placed.
+func (sc *searcher) realize(n *node, ci int, x, y float64) {
+	c := n.combos[ci]
+	if n.left == nil {
+		m := n.leaf
+		sc.placed[n.pos] = Placed{
+			Name: m.name, X: x, Y: y, W: c.w, H: c.h,
+			ShapeIndex: c.shapeIdx, Rows: m.shapes[c.shapeIdx].rows,
 		}
-		p.Routability = r
-		cost *= 1 + sc.cfg.congestWeight*r
+		sc.centre[m.idx] = point{x + c.w/2, y + c.h/2}
+		return
 	}
-	p.Cost = cost
-	return nil
+	sc.realize(n.left, c.li, x, y)
+	lc := n.left.combos[c.li]
+	if c.cut == 'v' {
+		sc.realize(n.right, c.ri, x+lc.w, y)
+	} else {
+		sc.realize(n.right, c.ri, x, y+lc.h)
+	}
+}
+
+// wireLength is the half-perimeter length of the global nets over the
+// centres of the blocks in sc.placed.
+func (sc *searcher) wireLength() float64 {
+	total := 0.0
+	for _, pins := range sc.netPins {
+		minX, maxX := math.Inf(1), math.Inf(-1)
+		minY, maxY := math.Inf(1), math.Inf(-1)
+		for _, mi := range pins {
+			// The builtins have math.Min and math.Max's semantics,
+			// inlined.
+			c := sc.centre[mi]
+			minX, maxX = min(minX, c.x), max(maxX, c.x)
+			minY, maxY = min(minY, c.y), max(maxY, c.y)
+		}
+		total += (maxX - minX) + (maxY - minY)
+	}
+	return total
+}
+
+// plan turns the last evaluation's winning root candidate into a
+// Plan.  The tree still holds that evaluation's combos, so realizing
+// the candidate again reproduces the blocks it was scored on.
+func (sc *searcher) plan() *Plan {
+	c := sc.root.combos[sc.win.idx]
+	sc.realize(sc.root, sc.win.idx, 0, 0)
+	p := &Plan{
+		Chip:        sc.chip,
+		Width:       c.w,
+		Height:      c.h,
+		Blocks:      slices.Clone(sc.placed),
+		WireLength:  sc.wireLength(),
+		Routability: sc.win.routability,
+		Cost:        sc.win.cost,
+		byName:      make(map[string]*Placed, len(sc.placed)),
+	}
+	for i := range p.Blocks {
+		p.byName[p.Blocks[i].Name] = &p.Blocks[i]
+	}
+	return p
 }
 
 // routability sums each Plan-backed module's channel overflow risk at
-// its chosen row count, weighted by the module's global-net pin count
-// (the channels a global net crosses belong to the modules it pins).
-// Memoized per (module, rows): the anneal revisits the same row
-// choices constantly, and the engine's congestion answer for a pair
-// never changes.
-func (sc *searcher) routability(p *Plan) (float64, error) {
+// its chosen row count in sc.placed, weighted by the module's
+// global-net pin count (the channels a global net crosses belong to
+// the modules it pins).  Memoized per (module, rows): the anneal
+// revisits the same row choices constantly, and the engine's
+// congestion answer for a pair never changes.
+func (sc *searcher) routability() (float64, error) {
 	total := 0.0
-	for _, b := range p.Blocks {
-		m := sc.byName[b.Name]
-		if m == nil || m.plan == nil || m.pins == 0 || b.Rows < 1 {
+	for k := range sc.placed {
+		m, b := sc.leaves[k].leaf, &sc.placed[k]
+		if m.plan == nil || m.pins == 0 || b.Rows < 1 {
 			continue
 		}
-		k := routKey{name: b.Name, rows: b.Rows}
+		memo := &m.rout[m.routOf[b.ShapeIndex]]
 		sc.stats.RoutLookups++
-		mRoutLookups.Inc()
-		risk, ok := sc.rout[k]
-		if ok {
+		if memo.known {
 			sc.stats.RoutMemoHits++
-			mRoutMemoHits.Inc()
 		} else {
 			cm, err := m.plan.Congestion(sc.ctx, engine.WithRows(b.Rows))
 			if err != nil {
 				return 0, err
 			}
 			for _, ch := range cm.Channels {
-				risk += ch.POverflow
+				memo.risk += ch.POverflow
 			}
-			sc.rout[k] = risk
+			memo.known = true
 		}
-		total += float64(m.pins) * risk
+		total += float64(m.pins) * memo.risk
 	}
 	return total, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // annealChip compiles a deterministic random chip into the annealer's
 // input shape.
-func annealChip(t *testing.T, modules int, seed int64) (string, []PlanModule, []Net, *tech.Process) {
+func annealChip(t testing.TB, modules int, seed int64) (string, []PlanModule, []Net, *tech.Process) {
 	t.Helper()
 	p, err := tech.Lookup("nmos25")
 	if err != nil {
@@ -177,6 +178,9 @@ func TestPlanModulesValidation(t *testing.T) {
 	bad := []Net{{Name: "n", Pins: []NetPin{{Module: "ghost", Port: "p"}}}}
 	if _, err := PlanModules(ctx, name, mods, bad); !errors.Is(err, ErrPlan) {
 		t.Fatalf("unknown net module: %v", err)
+	}
+	if _, err := PlanModules(ctx, name, mods, nets, WithWireWeight(math.Inf(1))); !errors.Is(err, ErrPlan) {
+		t.Fatalf("infinite cost: %v", err)
 	}
 }
 

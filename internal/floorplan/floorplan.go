@@ -11,10 +11,11 @@
 package floorplan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,8 +95,10 @@ type SearchStats struct {
 	// Iterations is the number of anneal moves tried (0 for the
 	// deterministic greedy path).
 	Iterations int
-	// Evals is the number of full cost evaluations (tree rebuild +
-	// realization + scoring).
+	// Evals is the number of module orders evaluated — each one a
+	// merge of every internal node's shape curve plus the scoring of
+	// every root candidate — one for the greedy pass and one per
+	// anneal move.
 	Evals int
 	// RoutLookups and RoutMemoHits count the per-(module, rows)
 	// routability queries and how many were answered by the search's
@@ -148,6 +151,14 @@ type mod struct {
 	shapes []shapeCand
 	plan   planner // nil on the legacy db path
 	pins   int
+	// Per-search state, set up once: idx is the module's position in
+	// the search's module list, front its Pareto leaf staircase, and
+	// rout the routability memo by shape, where shapes sharing a row
+	// count share the first such shape's entry.
+	idx    int
+	front  []combo
+	rout   []routMemo
+	routOf []int
 }
 
 // shapeCand is one candidate shape of a module.
@@ -167,9 +178,15 @@ type combo struct {
 	li, ri   int
 }
 
+// node is one slot of the balanced slicing tree.  The tree's shape
+// depends only on the module count, so a search builds it once and
+// every evaluation refills it: a leaf takes the module at its
+// position in the order, an internal node recombines its children
+// into its reused combos buffer.
 type node struct {
 	// leaf
 	leaf *mod
+	pos  int
 	// internal
 	left, right *node
 	combos      []combo
@@ -322,120 +339,224 @@ func clusterOrder(ms []*mod, nets []Net) []*mod {
 	return order
 }
 
-// buildTree pairs adjacent nodes level by level into a balanced
-// slicing tree.
-func buildTree(nodes []*node) *node {
-	for len(nodes) > 1 {
+// buildTree pairs adjacent slots level by level into a balanced
+// slicing tree over n leaves.  Internal nodes come back bottom-up —
+// children before parents, the root last — the order combination
+// must run in — with combos buffers sized for the largest merge.
+func buildTree(n int) (leaves, internal []*node) {
+	leaves = make([]*node, n)
+	for i := range leaves {
+		leaves[i] = &node{pos: i}
+	}
+	level := leaves
+	for len(level) > 1 {
 		var next []*node
-		for i := 0; i < len(nodes); i += 2 {
-			if i+1 == len(nodes) {
-				next = append(next, nodes[i])
+		for i := 0; i < len(level); i += 2 {
+			if i+1 == len(level) {
+				next = append(next, level[i])
 				continue
 			}
-			next = append(next, &node{left: nodes[i], right: nodes[i+1]})
+			nd := &node{left: level[i], right: level[i+1], combos: make([]combo, 0, 2*maxCut)}
+			internal = append(internal, nd)
+			next = append(next, nd)
 		}
-		nodes = next
+		level = next
 	}
-	return nodes[0]
+	return leaves, internal
 }
 
 // maxCombos caps each node's candidate list; pruning keeps the Pareto
-// staircase so the cap rarely binds.
-const maxCombos = 24
+// staircase so the cap rarely binds.  maxCut bounds one cut's
+// staircase over two capped children, so a node's union before the
+// cap holds at most 2·maxCut combos.
+const (
+	maxCombos = 24
+	maxCut    = 2*maxCombos - 1
+)
 
-func combineAll(n *node) {
-	if n.leaf != nil {
-		return
-	}
-	combineAll(n.left)
-	combineAll(n.right)
-	var out []combo
-	for li, lc := range n.left.combos {
-		for ri, rc := range n.right.combos {
-			// Vertical cut: side by side.
-			out = append(out, combo{
-				w: lc.w + rc.w, h: math.Max(lc.h, rc.h),
-				shapeIdx: -1, cut: 'v', li: li, ri: ri,
-			})
-			// Horizontal cut: stacked.
-			out = append(out, combo{
-				w: math.Max(lc.w, rc.w), h: lc.h + rc.h,
-				shapeIdx: -1, cut: 'h', li: li, ri: ri,
-			})
-		}
-	}
-	n.combos = pareto(out)
+// A staircase is a shape list sorted by strictly increasing width and
+// strictly decreasing height: no entry dominates another.  Every
+// node's combos form one.  Exact (w, h) ties between candidates are
+// resolved as a stable sort of the cross product would resolve them:
+// the combo generated first wins — lower li, then lower ri, then 'v'
+// before 'h' (for leaves, the lower shape index).
+
+// cutBufs holds the scratch combine works in — the two per-cut
+// staircases and the cap's area ranking; one search reuses it for
+// every node and every move.
+type cutBufs struct {
+	v, h []combo
+	keys []areaKey
 }
 
-// pareto keeps the non-dominated staircase (no other combo has both
-// smaller-or-equal width and height), capped at maxCombos entries by
-// area.
-func pareto(cs []combo) []combo {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].w != cs[j].w {
-			return cs[i].w < cs[j].w
+func newCutBufs() cutBufs {
+	return cutBufs{
+		v:    make([]combo, 0, maxCut),
+		h:    make([]combo, 0, maxCut),
+		keys: make([]areaKey, 0, 2*maxCut),
+	}
+}
+
+// combine writes into dst the staircase of every way to join
+// staircases l and r under a vertical or horizontal cut, capped at
+// maxCombos.  This is Stockmeyer's linear merge ("Optimal orientations
+// of cells in slicing floorplan designs", 1983): each cut's staircase
+// takes one walk over the two children, and the two cut staircases
+// merge in one more pass — no cross product, no sort unless the cap
+// binds.
+func (b *cutBufs) combine(dst, l, r []combo) []combo {
+	dst = dst[:0]
+	if len(l) == 0 || len(r) == 0 {
+		return dst
+	}
+	b.v = vcut(b.v[:0], l, r)
+	b.h = hcut(b.h[:0], l, r)
+	return b.capCombos(union(dst, b.v, b.h))
+}
+
+// vcut appends the staircase of the vertical cut (side by side:
+// widths add, the taller child sets the height).  It walks from both
+// children's narrowest shapes, advancing whichever child is taller —
+// only a shorter shape for that child can lower the combined height —
+// so it emits at most len(l)+len(r)−1 points.
+func vcut(dst, l, r []combo) []combo {
+	for i, j := 0, 0; i < len(l) && j < len(r); {
+		lc, rc := l[i], r[j]
+		c := combo{w: lc.w + rc.w, h: max(lc.h, rc.h), shapeIdx: -1, cut: 'v', li: i, ri: j}
+		// Rounding can make two width sums equal; the later,
+		// shorter point then dominates the earlier one.
+		if k := len(dst) - 1; k >= 0 && dst[k].w == c.w {
+			dst = dst[:k]
 		}
-		return cs[i].h < cs[j].h
-	})
-	var out []combo
+		dst = append(dst, c)
+		switch {
+		case lc.h > rc.h:
+			i++
+		case rc.h > lc.h:
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return dst
+}
+
+// hcut appends the staircase of the horizontal cut (stacked: heights
+// add, the wider child sets the width).  The mirror image of vcut: it
+// walks from both children's widest shapes, advancing whichever child
+// is wider, then reverses its output into increasing width.
+func hcut(dst, l, r []combo) []combo {
+	for i, j := len(l)-1, len(r)-1; i >= 0 && j >= 0; {
+		lc, rc := l[i], r[j]
+		c := combo{w: max(lc.w, rc.w), h: lc.h + rc.h, shapeIdx: -1, cut: 'h', li: i, ri: j}
+		if k := len(dst) - 1; k >= 0 && dst[k].h == c.h {
+			dst = dst[:k]
+		}
+		dst = append(dst, c)
+		switch {
+		case lc.w > rc.w:
+			i--
+		case rc.w > lc.w:
+			j--
+		default:
+			i, j = i-1, j-1
+		}
+	}
+	slices.Reverse(dst)
+	return dst
+}
+
+// union appends the staircase of the union of the two cut staircases:
+// a merge in (w, h) order that keeps each point strictly shorter than
+// the last one kept.
+func union(dst, v, h []combo) []combo {
+	for i, j := 0, 0; i < len(v) || j < len(h); {
+		var c combo
+		if j == len(h) || i < len(v) && vFirst(v[i], h[j]) {
+			c, i = v[i], i+1
+		} else {
+			c, j = h[j], j+1
+		}
+		if k := len(dst) - 1; k >= 0 && c.h >= dst[k].h {
+			continue
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// vFirst reports whether vertical-cut point a precedes horizontal-cut
+// point b in (w, h) order, an exact tie going to the combo generated
+// first.
+func vFirst(a, b combo) bool {
+	if a.w != b.w {
+		return a.w < b.w
+	}
+	if a.h != b.h {
+		return a.h < b.h
+	}
+	return a.li < b.li || a.li == b.li && a.ri <= b.ri
+}
+
+// pareto keeps the staircase of a leaf's shapes (no other shape has
+// both smaller-or-equal width and height), capped at maxCombos
+// entries by area.
+func pareto(cs []combo) []combo {
+	slices.SortStableFunc(cs, byWidthHeight)
+	out := cs[:0]
 	for _, c := range cs {
 		// Sorted by ascending (w, h): the last kept entry has
 		// width ≤ c.w, so it dominates c unless c is strictly
-		// shorter.  Kept entries therefore form a staircase of
-		// increasing w and decreasing h.
+		// shorter.
 		if len(out) > 0 && c.h >= out[len(out)-1].h {
 			continue
 		}
 		out = append(out, c)
 	}
-	if len(out) > maxCombos {
-		sort.Slice(out, func(i, j int) bool { return out[i].w*out[i].h < out[j].w*out[j].h })
-		out = out[:maxCombos]
-		sort.Slice(out, func(i, j int) bool { return out[i].w < out[j].w })
+	var b cutBufs
+	return b.capCombos(out)
+}
+
+func byWidthHeight(a, b combo) int {
+	if c := cmp.Compare(a.w, b.w); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.h, b.h)
+}
+
+// areaKey ranks staircase entry i for the cap: by area, equal areas
+// going to the earlier — narrower — entry.
+type areaKey struct {
+	area float64
+	i    int
+}
+
+func (k areaKey) less(o areaKey) bool {
+	return k.area < o.area || k.area == o.area && k.i < o.i
+}
+
+// capCombos trims staircase cs to its maxCombos lowest-ranked
+// entries, keeping them in width order.
+func (b *cutBufs) capCombos(cs []combo) []combo {
+	if len(cs) <= maxCombos {
+		return cs
+	}
+	b.keys = b.keys[:0]
+	for i, c := range cs {
+		b.keys = append(b.keys, areaKey{c.w * c.h, i})
+	}
+	slices.SortFunc(b.keys, func(x, y areaKey) int {
+		if x.less(y) {
+			return -1
+		}
+		return 1 // keys are distinct
+	})
+	last := b.keys[maxCombos-1]
+	out := cs[:0]
+	for i, c := range cs {
+		if !last.less(areaKey{c.w * c.h, i}) {
+			out = append(out, c)
+		}
 	}
 	return out
-}
-
-// realize walks the tree assigning positions for the chosen combo.
-func realize(n *node, comboIdx int, x, y float64, plan *Plan) {
-	c := n.combos[comboIdx]
-	if n.leaf != nil {
-		p := Placed{
-			Name: n.leaf.name, X: x, Y: y, W: c.w, H: c.h,
-			ShapeIndex: c.shapeIdx, Rows: n.leaf.shapes[c.shapeIdx].rows,
-		}
-		plan.Blocks = append(plan.Blocks, p)
-		plan.byName[p.Name] = &plan.Blocks[len(plan.Blocks)-1]
-		return
-	}
-	realize(n.left, c.li, x, y, plan)
-	lc := n.left.combos[c.li]
-	if c.cut == 'v' {
-		realize(n.right, c.ri, x+lc.w, y, plan)
-	} else {
-		realize(n.right, c.ri, x, y+lc.h, plan)
-	}
-}
-
-func wireLength(nets []Net, plan *Plan) float64 {
-	total := 0.0
-	for _, net := range nets {
-		minX, maxX := math.Inf(1), math.Inf(-1)
-		minY, maxY := math.Inf(1), math.Inf(-1)
-		seen := false
-		for _, pin := range net.Pins {
-			b := plan.byName[pin.Module]
-			if b == nil {
-				continue
-			}
-			cx, cy := b.X+b.W/2, b.Y+b.H/2
-			minX, maxX = math.Min(minX, cx), math.Max(maxX, cx)
-			minY, maxY = math.Min(minY, cy), math.Max(maxY, cy)
-			seen = true
-		}
-		if seen {
-			total += (maxX - minX) + (maxY - minY)
-		}
-	}
-	return total
 }
