@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -175,4 +176,20 @@ func TestCongestionOverloadSheds(t *testing.T) {
 	}
 	close(release)
 	decodeCongestion(t, <-done)
+}
+
+// TestCongestionStageMarks: a congestion miss books parse and compile
+// time under their own stages, in pipeline order, as /v1/estimate does.
+func TestCongestionStageMarks(t *testing.T) {
+	s := New(Options{FlightSize: 4})
+	decodeCongestion(t, do(s, "POST", "/v1/congestion",
+		marshal(t, CongestionRequest{Netlist: testdata(t, "demo.mnet")})))
+	var got []string
+	for _, st := range s.Flight().Snapshot()[0].Stages {
+		got = append(got, st.Name)
+	}
+	want := []string{"decode", "parse", "compile", "cache", "analyze"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("congestion miss stages %v, want %v", got, want)
+	}
 }

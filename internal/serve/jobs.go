@@ -16,6 +16,7 @@ import (
 	"maest/internal/floorplan"
 	"maest/internal/netlist"
 	"maest/internal/obs"
+	"maest/internal/store"
 	"maest/internal/tech"
 )
 
@@ -322,16 +323,14 @@ func (jm *jobManager) execute(ctx context.Context, j *job) (*FloorplanResult, er
 
 // persist writes a terminal job record into NSFloorplan, write-behind.
 func (jm *jobManager) persist(j *job) {
-	jm.s.stier.putJob(j.key, j.snapshot())
+	jm.s.stier.enqueue(store.NSFloorplan, j.key, j.snapshot())
 }
 
 // persisted probes the store for a finished record from a previous
-// process life.
+// process life.  Float64 JSON round trips are exact, so the re-encoded
+// poll answer is byte-identical across a restart.
 func (jm *jobManager) persisted(key Key) (*JobResponse, bool) {
-	if jm.s.stier == nil {
-		return nil, false
-	}
-	return jm.s.stier.getJob(key)
+	return storeGet[JobResponse](jm.s.stier, store.NSFloorplan, key)
 }
 
 // drain stops the worker pool for shutdown: running anneals are

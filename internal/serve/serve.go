@@ -149,8 +149,8 @@ func (o Options) withDefaults() Options {
 // they stay responsive under overload.
 type Server struct {
 	opts     Options
-	cache    *Cache
-	congests *CongestCache
+	results  tier[core.Result]
+	congests tier[congest.Map]
 	plans    *PlanCache
 	slots    chan struct{}
 	mux      *http.ServeMux
@@ -171,8 +171,8 @@ func New(opts Options) *Server {
 	obs.RegisterBuildInfo()
 	s := &Server{
 		opts:     opts,
-		cache:    NewCache(opts.CacheSize),
-		congests: NewCongestCache(opts.CacheSize),
+		results:  tier[core.Result]{lru: NewCache(opts.CacheSize), ns: store.NSResult},
+		congests: tier[congest.Map]{lru: NewCongestCache(opts.CacheSize), ns: store.NSCongest},
 		plans:    NewPlanCache(opts.CacheSize),
 		slots:    make(chan struct{}, opts.MaxConcurrent),
 		mux:      http.NewServeMux(),
@@ -183,6 +183,7 @@ func New(opts Options) *Server {
 	}
 	if opts.Store != nil {
 		s.stier = newStoreTier(opts.Store)
+		s.results.store, s.congests.store = s.stier, s.stier
 	}
 	if opts.TraceStore != nil {
 		pol := opts.Sample
@@ -232,10 +233,10 @@ func (s *Server) Watchdog() *Watchdog { return s.watchdog }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Cache returns the server's result cache (nil when disabled).
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *Cache { return s.results.lru }
 
 // CongestCache returns the congestion map cache (nil when disabled).
-func (s *Server) CongestCache() *CongestCache { return s.congests }
+func (s *Server) CongestCache() *CongestCache { return s.congests.lru }
 
 // PlanCache returns the compiled-plan cache (nil when disabled).
 func (s *Server) PlanCache() *PlanCache { return s.plans }
@@ -305,21 +306,6 @@ func (s *Server) FlushTraces() {
 // no trace store is mounted.
 func (s *Server) SyncTraces() {
 	s.ttier.sync()
-}
-
-// storeResult probes the persistent store for an LRU miss and, on a
-// hit, hydrates the LRU so the next repeat is a memory hit.
-func (s *Server) storeResult(key Key, info *reqInfo) (*core.Result, bool) {
-	if s.stier == nil {
-		return nil, false
-	}
-	res, ok := s.stier.getResult(key)
-	if ok {
-		s.cache.Put(key, res)
-		info.setStoreHit(true)
-	}
-	info.mark("store")
-	return res, ok
 }
 
 // Flight returns the server's flight recorder (nil when disabled).
@@ -410,6 +396,16 @@ func (s *Server) fail(w http.ResponseWriter, info *reqInfo, err error) {
 	writeError(w, info, err)
 }
 
+// checkRows rejects a negative row count right after decode, so every
+// endpoint taking a "rows" knob answers it with the same 400 before
+// paying for a parse or compile.
+func checkRows(rows int) error {
+	if rows < 0 {
+		return reqErr("negative rows %d", rows)
+	}
+	return nil
+}
+
 // handleEstimate answers POST /v1/estimate: decode → cache → estimate
 // → encode, the Fig. 1 flow as a request/response pipeline.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *reqInfo) {
@@ -431,6 +427,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 		return
 	}
 	info.mark("decode")
+	if err := checkRows(req.Rows); err != nil {
+		s.fail(w, info, err)
+		return
+	}
 	proc, procName, err := lookupProcess(req.Process, s.opts.Process)
 	if err != nil {
 		s.fail(w, info, err)
@@ -447,47 +447,27 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, info *re
 	planKey := Key(engine.PlanHash(circ, proc))
 	info.setDigest(key)
 	info.setPlan(planKey)
-	if res, ok := s.cache.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = planKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	info.mark("cache")
-	if res, ok := s.storeResult(key, info); ok {
-		// A disk hit is a cache hit as far as the client is concerned:
-		// the answer is the persisted computation, byte-identical to a
-		// fresh one.  The plan is still compiled (memoized) so the
+	res, hit, fromStore := s.results.get(key, info)
+	if !hit || fromStore {
+		// A store hit still compiles the plan (memoized) so the
 		// answer's plan key stays chainable — a warm restart serves
 		// results this process never computed, and an ECO delta
 		// against them must find the parent plan, not a 404.
-		if _, err := s.planWithKey(ctx, planKey, circ, proc); err != nil {
+		pl, err := s.planWithKey(ctx, planKey, circ, proc)
+		if err != nil {
 			s.fail(w, info, err)
 			return
 		}
 		info.mark("compile")
-		info.setCacheHit(true)
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = planKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
+		if !hit {
+			if res, err = s.estimateWithDeadline(ctx, pl, opts, key); err != nil {
+				s.fail(w, info, err)
+				return
+			}
+			info.mark("estimate")
+		}
 	}
-
-	pl, err := s.planWithKey(ctx, planKey, circ, proc)
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("compile")
-	res, err := s.estimateWithDeadline(ctx, pl, opts, key)
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("estimate")
-	resp := encodeResult(res, procName, key, false)
+	resp := encodeResult(res, procName, key, hit)
 	resp.Plan = planKey.String()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -518,6 +498,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 		return
 	}
 	info.mark("decode")
+	if err := checkRows(req.Rows); err != nil {
+		s.fail(w, info, err)
+		return
+	}
 	parentKey, err := parseKey(req.Parent)
 	if err != nil {
 		s.fail(w, info, err)
@@ -564,29 +548,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 	key := CacheKey(child.Circuit(), procName, opts)
 	info.setDigest(key)
 	info.setPlan(childKey)
-	if res, ok := s.cache.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = childKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
+	res, hit, _ := s.results.get(key, info)
+	if !hit {
+		if res, err = s.estimateWithDeadline(ctx, child, opts, key); err != nil {
+			s.fail(w, info, err)
+			return
+		}
+		info.mark("estimate")
 	}
-	info.mark("cache")
-	if res, ok := s.storeResult(key, info); ok {
-		info.setCacheHit(true)
-		resp := encodeResult(res, procName, key, true)
-		resp.Plan = childKey.String()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	res, err := s.estimateWithDeadline(ctx, child, opts, key)
-	if err != nil {
-		s.fail(w, info, err)
-		return
-	}
-	info.mark("estimate")
-	resp := encodeResult(res, procName, key, false)
+	resp := encodeResult(res, procName, key, hit)
 	resp.Plan = childKey.String()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -595,7 +565,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, info *reqIn
 // honoring ctx.  The estimator itself is not preemptible, so on
 // timeout the answer is 504 while the computation finishes on its
 // goroutine and still populates the cache — an immediate retry of the
-// same request becomes a hit.
+// same request becomes a hit.  A deadline that passed while the
+// estimate ran is a 504 even when the result is ready: select picks
+// at random between ready cases, and the answer must not.
 func (s *Server) estimateWithDeadline(ctx context.Context, pl *engine.Plan, opts core.SCOptions, key Key) (*core.Result, error) {
 	type outcome struct {
 		res *core.Result
@@ -605,13 +577,15 @@ func (s *Server) estimateWithDeadline(ctx context.Context, pl *engine.Plan, opts
 	go func() {
 		res, err := pl.Estimate(ctx, engine.WithRows(opts.Rows), engine.WithTrackSharing(opts.TrackSharing))
 		if err == nil {
-			s.cache.Put(key, res)
-			s.stier.putResult(key, res)
+			s.results.put(key, res)
 		}
 		done <- outcome{res, err}
 	}()
 	select {
 	case o := <-done:
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		return o.res, o.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -640,6 +614,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		return
 	}
 	info.mark("decode")
+	if err := checkRows(req.Rows); err != nil {
+		s.fail(w, info, err)
+		return
+	}
 	if len(req.Modules) == 0 {
 		s.fail(w, info, reqErr("batch has no modules"))
 		return
@@ -665,14 +643,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 			return
 		}
 		keys[i] = CacheKey(c, procName, opts)
-		if res, ok := s.cache.Get(keys[i]); ok {
-			results[i] = res
-			cached[i] = true
-			hits++
-		} else if res, ok := s.stier.getResult(keys[i]); ok {
-			// Store hits hydrate the LRU and count as cached modules:
-			// the disk tier is part of the cache from the wire's view.
-			s.cache.Put(keys[i], res)
+		// Store hits count as cached modules: the disk tier is part of
+		// the cache from the wire's view.  No per-module telemetry —
+		// the whole loop is one parse+cache stage.
+		if res, ok, _ := s.results.get(keys[i], nil); ok {
 			results[i] = res
 			cached[i] = true
 			hits++
@@ -707,8 +681,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		for j, res := range fresh {
 			i := missIdx[j]
 			results[i] = res
-			s.cache.Put(keys[i], res)
-			s.stier.putResult(keys[i], res)
+			s.results.put(keys[i], res)
 		}
 	}
 	info.mark("estimate")
@@ -744,13 +717,13 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		return
 	}
 	info.mark("decode")
+	if err := checkRows(req.Rows); err != nil {
+		s.fail(w, info, err)
+		return
+	}
 	model, err := congest.ParseModel(req.Model)
 	if err != nil {
 		s.fail(w, info, reqErr("%v", err))
-		return
-	}
-	if req.Rows < 0 {
-		s.fail(w, info, reqErr("negative rows %d", req.Rows))
 		return
 	}
 	proc, procName, err := lookupProcess(req.Process, s.opts.Process)
@@ -763,6 +736,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		s.fail(w, info, err)
 		return
 	}
+	info.mark("parse")
 	// The compiled plan supplies the gathered statistics (shared with
 	// any earlier /v1/estimate on the same body via the plan cache)
 	// and the resolved row count the cache key names: §5 automatic
@@ -774,7 +748,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		s.fail(w, info, err)
 		return
 	}
-	info.mark("parse")
+	info.mark("compile")
 	rows := req.Rows
 	if rows == 0 {
 		if req.Gridded {
@@ -786,23 +760,9 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 	opts := congest.Options{Model: model, Capacity: req.Capacity, FeedBudget: req.FeedBudget}
 	key := CongestKey(circ, procName, rows, req.Gridded, opts)
 	info.setDigest(key)
-	if m, ok := s.congests.Get(key); ok {
-		info.setCacheHit(true)
-		info.mark("cache")
+	if m, ok, _ := s.congests.get(key, info); ok {
 		writeJSON(w, http.StatusOK, encodeMap(m, procName, key, true))
 		return
-	}
-	info.mark("cache")
-	if s.stier != nil {
-		if m, ok := s.stier.getCongest(key); ok {
-			s.congests.Put(key, m)
-			info.setCacheHit(true)
-			info.setStoreHit(true)
-			info.mark("store")
-			writeJSON(w, http.StatusOK, encodeMap(m, procName, key, true))
-			return
-		}
-		info.mark("store")
 	}
 
 	m, err := pl.Congestion(ctx,
@@ -813,8 +773,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request, info *
 		return
 	}
 	info.mark("analyze")
-	s.congests.Put(key, m)
-	s.stier.putCongest(key, m)
+	s.congests.put(key, m)
 	writeJSON(w, http.StatusOK, encodeMap(m, procName, key, false))
 }
 

@@ -130,7 +130,7 @@ func TestEstimateClientErrors(t *testing.T) {
 		{"unknown format", marshal(t, EstimateRequest{Format: "edif", Netlist: "x"}), http.StatusBadRequest},
 		{"unknown process", marshal(t, EstimateRequest{Process: "fab9", Netlist: testdata(t, "demo.mnet")}), http.StatusBadRequest},
 		{"unknown device type", marshal(t, EstimateRequest{Netlist: "module m\ndevice g WARP a b\nend\n"}), http.StatusUnprocessableEntity},
-		{"negative rows", marshal(t, EstimateRequest{Rows: -1, Netlist: testdata(t, "demo.mnet")}), http.StatusUnprocessableEntity},
+		{"negative rows", marshal(t, EstimateRequest{Rows: -1, Netlist: testdata(t, "demo.mnet")}), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		w := do(s, "POST", "/v1/estimate", tc.body)
@@ -141,6 +141,29 @@ func TestEstimateClientErrors(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body not JSON: %s", tc.name, w.Body.String())
 		}
+	}
+}
+
+// TestNegativeRowsRejected: every endpoint taking a "rows" knob
+// answers a negative count with the same 400, before any parse or
+// compile — the plan cache stays empty.
+func TestNegativeRowsRejected(t *testing.T) {
+	s := New(Options{})
+	demo := testdata(t, "demo.mnet")
+	cases := []struct{ path, body string }{
+		{"/v1/estimate", marshal(t, EstimateRequest{Netlist: demo, Rows: -1})},
+		{"/v1/estimate/batch", marshal(t, BatchRequest{Rows: -1, Modules: []ModuleInput{{Netlist: demo}}})},
+		{"/v1/estimate/delta", marshal(t, DeltaRequest{Parent: strings.Repeat("0", 64), Rows: -1})},
+		{"/v1/congestion", marshal(t, CongestionRequest{Netlist: demo, Rows: -1})},
+	}
+	for _, tc := range cases {
+		w := do(s, "POST", tc.path, tc.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "negative rows -1") {
+			t.Errorf("%s: %d %s, want 400 negative rows", tc.path, w.Code, w.Body.String())
+		}
+	}
+	if n := s.PlanCache().Len(); n != 0 {
+		t.Fatalf("negative rows compiled %d plans", n)
 	}
 }
 

@@ -2,10 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"sync"
 
-	"maest/internal/congest"
-	"maest/internal/core"
 	"maest/internal/engine"
 	"maest/internal/obs"
 	"maest/internal/store"
@@ -15,16 +12,14 @@ import (
 // store.  Reads are synchronous (an LRU miss probes the store before
 // paying for compile+execute, and a store hit hydrates the LRU);
 // writes are asynchronous: the request path enqueues the computed
-// value and a writer goroutine does the JSON marshal and disk append
-// off the latency path.  The store is a cache of recomputable results,
-// so a write dropped under backpressure costs a future recompute, not
-// correctness.
-var (
-	mStoreWrites     = obs.DefCounter("maest_store_writebehind_writes_total", "results persisted by the write-behind tier")
-	mStoreWriteErrs  = obs.DefCounter("maest_store_writebehind_errors_total", "write-behind persists that failed")
-	mStoreWriteDrops = obs.DefCounter("maest_store_writebehind_dropped_total", "write-behind persists dropped because the queue was full")
-	gStoreQueue      = obs.DefGauge("maest_store_writebehind_queue", "write-behind queue depth")
-)
+// value and the queue's writer goroutine does the JSON marshal and
+// disk append off the latency path.
+var storeQueueMetrics = queueMetrics{
+	writes: obs.DefCounter("maest_store_writebehind_writes_total", "results persisted by the write-behind tier"),
+	errs:   obs.DefCounter("maest_store_writebehind_errors_total", "write-behind persists that failed"),
+	drops:  obs.DefCounter("maest_store_writebehind_dropped_total", "write-behind persists dropped because the queue was full"),
+	depth:  obs.DefGauge("maest_store_writebehind_queue", "write-behind queue depth"),
+}
 
 // PlanMeta is the compiled-plan metadata persisted under a plan's
 // content address (store.NSPlanMeta).  It records what the service
@@ -54,145 +49,65 @@ type storeWrite struct {
 // *storeTier is a well-defined disabled tier: lookups miss, persists
 // are dropped — the same idiom as the nil LRU caches.
 type storeTier struct {
-	st    *store.Store
-	queue chan storeWrite
-	wg    sync.WaitGroup
-
-	mu     sync.RWMutex // guards closed vs. in-flight enqueues
-	closed bool
+	st *store.Store
+	q  *writeBehind[storeWrite]
 }
 
-// newStoreTier starts the writer goroutine over an open store.
+// newStoreTier starts the write-behind queue over an open store.
 func newStoreTier(st *store.Store) *storeTier {
-	t := &storeTier{st: st, queue: make(chan storeWrite, 4096)}
-	t.wg.Add(1)
-	go t.writer()
+	t := &storeTier{st: st}
+	t.q = newWriteBehind(storeQueueMetrics, t.persist)
 	return t
 }
 
-func (t *storeTier) writer() {
-	defer t.wg.Done()
-	for w := range t.queue {
-		gStoreQueue.Set(float64(len(t.queue)))
-		b, err := json.Marshal(w.val)
-		if err == nil {
-			err = t.st.Put(w.ns, w.key, b)
-		}
-		if err != nil {
-			mStoreWriteErrs.Inc()
-			continue
-		}
-		mStoreWrites.Inc()
+// persist marshals one queued value and appends it to the store.
+func (t *storeTier) persist(w *storeWrite) error {
+	b, err := json.Marshal(w.val)
+	if err != nil {
+		return err
 	}
+	return t.st.Put(w.ns, w.key, b)
 }
 
-// enqueue hands one persist to the writer, dropping it (with a
-// counter) when the queue is full or the tier is flushing — the
-// request path never blocks on the disk.
+// enqueue persists one value under ns/key, write-behind.
 func (t *storeTier) enqueue(ns store.Namespace, key Key, val any) {
 	if t == nil {
 		return
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		mStoreWriteDrops.Inc()
-		return
-	}
-	select {
-	case t.queue <- storeWrite{ns: ns, key: store.Key(key), val: val}:
-	default:
-		mStoreWriteDrops.Inc()
-	}
+	t.q.enqueue(storeWrite{ns: ns, key: store.Key(key), val: val})
 }
 
 // flush stops intake and blocks until every queued persist has reached
-// the store.  Call before closing the store.
+// the store.  Call before closing the store; safe to call more than
+// once.
 func (t *storeTier) flush() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.queue)
-	t.wg.Wait()
+	t.q.flush()
 }
 
-// getResult probes the store for a persisted estimate.  Store hits
-// decode back to the exact Result the original computation produced:
+// storeGet probes the store for a value persisted under ns/key.  A hit
+// decodes back to the exact value the original computation produced:
 // Go's float64 JSON round trip is exact (shortest-representation
 // encode, exact parse), so the re-encoded response is byte-identical
-// to a fresh computation's — the differential test enforces it.
-func (t *storeTier) getResult(key Key) (*core.Result, bool) {
+// to a fresh computation's — the differential test enforces it.  A
+// store error and an undecodable payload (a schema from a future
+// version, say) degrade to a miss: the service recomputes and
+// overwrites.
+func storeGet[V any](t *storeTier, ns store.Namespace, key Key) (*V, bool) {
 	if t == nil {
 		return nil, false
 	}
-	b, ok, err := t.st.Get(store.NSResult, store.Key(key))
+	b, ok, err := t.st.Get(ns, store.Key(key))
 	if err != nil || !ok {
 		return nil, false
 	}
-	var res core.Result
-	if json.Unmarshal(b, &res) != nil {
-		// Undecodable payloads (a schema from a future version, say)
-		// degrade to a miss: the service recomputes and overwrites.
+	v := new(V)
+	if json.Unmarshal(b, v) != nil {
 		return nil, false
 	}
-	return &res, true
-}
-
-// getCongest is getResult for congestion maps.
-func (t *storeTier) getCongest(key Key) (*congest.Map, bool) {
-	if t == nil {
-		return nil, false
-	}
-	b, ok, err := t.st.Get(store.NSCongest, store.Key(key))
-	if err != nil || !ok {
-		return nil, false
-	}
-	var m congest.Map
-	if json.Unmarshal(b, &m) != nil {
-		return nil, false
-	}
-	return &m, true
-}
-
-// getJob probes the store for a persisted floorplan job record.  Like
-// getResult, a hit decodes back to the exact record the original
-// process persisted — float64 JSON round trips are exact — so the
-// re-encoded poll answer is byte-identical across a restart.
-func (t *storeTier) getJob(key Key) (*JobResponse, bool) {
-	if t == nil {
-		return nil, false
-	}
-	b, ok, err := t.st.Get(store.NSFloorplan, store.Key(key))
-	if err != nil || !ok {
-		return nil, false
-	}
-	var rec JobResponse
-	if json.Unmarshal(b, &rec) != nil {
-		return nil, false
-	}
-	return &rec, true
-}
-
-// putJob persists one terminal job record, write-behind.
-func (t *storeTier) putJob(key Key, rec *JobResponse) {
-	t.enqueue(store.NSFloorplan, key, rec)
-}
-
-// putResult persists one estimate, write-behind.
-func (t *storeTier) putResult(key Key, res *core.Result) {
-	t.enqueue(store.NSResult, key, res)
-}
-
-// putCongest persists one congestion map, write-behind.
-func (t *storeTier) putCongest(key Key, m *congest.Map) {
-	t.enqueue(store.NSCongest, key, m)
+	return v, true
 }
 
 // putPlanMeta persists one compiled plan's metadata, write-behind.
@@ -216,4 +131,46 @@ func (t *storeTier) stats() (store.Stats, bool) {
 		return store.Stats{}, false
 	}
 	return t.st.Stats(), true
+}
+
+// tier is one namespace's read-through cache: an LRU over the
+// persistent store.  It is the only place that decides where a result
+// or congestion answer lives — memory first, then disk, and every disk
+// hit refills memory so the next repeat is a memory hit.  Each
+// namespace has its own LRU so their hit ratios and capacities stay
+// independent.
+type tier[V any] struct {
+	lru   *lru[*V]
+	ns    store.Namespace
+	store *storeTier
+}
+
+// get probes the LRU, then the store, recording the cache disposition
+// and the "cache" (and, with a store mounted, "store") stage on info.
+// A store hit is a cache hit as far as the client is concerned: the
+// answer is the persisted computation, byte-identical to a fresh one.
+// fromStore tells the caller the hit came from disk.
+func (t *tier[V]) get(key Key, info *reqInfo) (v *V, ok, fromStore bool) {
+	if v, ok = t.lru.Get(key); ok {
+		info.setCacheHit(true)
+		info.mark("cache")
+		return v, true, false
+	}
+	info.mark("cache")
+	if t.store == nil {
+		return nil, false, false
+	}
+	if v, ok = storeGet[V](t.store, t.ns, key); ok {
+		t.lru.Put(key, v)
+		info.setCacheHit(true)
+		info.setStoreHit(true)
+	}
+	info.mark("store")
+	return v, ok, ok
+}
+
+// put caches a computed value and persists it, write-behind.
+func (t *tier[V]) put(key Key, v *V) {
+	t.lru.Put(key, v)
+	t.store.enqueue(t.ns, key, v)
 }

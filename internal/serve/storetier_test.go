@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"maest/internal/congest"
+	"maest/internal/core"
 	"maest/internal/store"
 )
 
@@ -24,17 +26,16 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 // well-defined no-op, mirroring the nil LRU caches.
 func TestStoreTierDisabled(t *testing.T) {
 	var tier *storeTier
-	if _, ok := tier.getResult(Key{}); ok {
+	if _, ok := storeGet[core.Result](tier, store.NSResult, Key{}); ok {
 		t.Error("nil tier answered a result lookup")
 	}
-	if _, ok := tier.getCongest(Key{}); ok {
+	if _, ok := storeGet[congest.Map](tier, store.NSCongest, Key{}); ok {
 		t.Error("nil tier answered a congestion lookup")
 	}
 	if _, ok := tier.stats(); ok {
 		t.Error("nil tier has stats")
 	}
-	tier.putResult(Key{}, nil)
-	tier.putCongest(Key{}, nil)
+	tier.putPlanMeta(Key{}, nil)
 	tier.enqueue(store.NSResult, Key{}, nil)
 	tier.flush()
 	tier.flush()
@@ -77,10 +78,10 @@ func TestStoreTierUndecodablePayload(t *testing.T) {
 	}
 	tier := newStoreTier(st)
 	defer tier.flush()
-	if _, ok := tier.getResult(key); ok {
+	if _, ok := storeGet[core.Result](tier, store.NSResult, key); ok {
 		t.Error("undecodable result payload served")
 	}
-	if _, ok := tier.getCongest(key); ok {
+	if _, ok := storeGet[congest.Map](tier, store.NSCongest, key); ok {
 		t.Error("undecodable congestion payload served")
 	}
 }
@@ -93,9 +94,9 @@ func TestStoreTierEnqueueAfterFlushDrops(t *testing.T) {
 	defer st.Close()
 	tier := newStoreTier(st)
 	tier.flush()
-	drops0 := mStoreWriteDrops.Value()
+	drops0 := storeQueueMetrics.drops.Value()
 	tier.enqueue(store.NSResult, Key(sha256.Sum256([]byte("late"))), map[string]int{"a": 1})
-	if got := mStoreWriteDrops.Value() - drops0; got != 1 {
+	if got := storeQueueMetrics.drops.Value() - drops0; got != 1 {
 		t.Fatalf("drop counter moved by %v, want 1", got)
 	}
 	tier.flush() // idempotent

@@ -146,6 +146,29 @@ func TestErrorPathsCarryIDs(t *testing.T) {
 			http.StatusGatewayTimeout)
 	})
 
+	t.Run("504 deadline every time", func(t *testing.T) {
+		// The estimate can finish before the handler selects on it;
+		// an expired deadline must still answer 504, never 200.  Each
+		// round uses a fresh server: the background estimate fills the
+		// cache, and a cache hit is a legitimate 200.
+		body := marshal(t, EstimateRequest{Netlist: testdata(t, "demo.mnet")})
+		var s *Server
+		for i := 0; i < 200; i++ {
+			s = New(Options{FlightSize: 8, Timeout: time.Nanosecond})
+			checkIDs(t, do(s, "POST", "/v1/estimate", body), http.StatusGatewayTimeout)
+		}
+		// The 504'd computation still populates the cache, so the retry
+		// is a hit.
+		for deadline := time.Now().Add(10 * time.Second); s.Cache().Len() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("background estimate never filled the cache")
+			}
+		}
+		if resp := decodeEstimate(t, do(s, "POST", "/v1/estimate", body)); !resp.CacheHit {
+			t.Fatal("retry after 504 missed the cache")
+		}
+	})
+
 	t.Run("500 internal", func(t *testing.T) {
 		// writeError's default branch, exercised directly: an error
 		// matching no classification maps to 500 and still carries IDs.

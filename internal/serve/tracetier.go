@@ -2,9 +2,9 @@ package serve
 
 import (
 	"encoding/hex"
+	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"maest/internal/obs"
 	"maest/internal/store"
@@ -23,22 +23,19 @@ import (
 // scan at startup, which is what lets GET /debug/trace/{id} answer for
 // a trace sampled before the last restart.
 var (
-	mTraceWrites = obs.DefCounter("maest_trace_store_writes_total", "sampled traces persisted to the trace store")
-	mTraceErrs   = obs.DefCounter("maest_trace_store_errors_total", "trace persists that failed (encode or store append)")
-	mTraceDrops  = obs.DefCounter("maest_trace_store_dropped_total", "sampled traces dropped because the queue was full or the tier was flushing")
-	gTraceQueue  = obs.DefGauge("maest_trace_store_queue", "trace write-behind queue depth")
-	gTraceIndex  = obs.DefGauge("maest_trace_store_indexed", "trace hops resident in the in-memory index")
+	traceQueueMetrics = queueMetrics{
+		writes: obs.DefCounter("maest_trace_store_writes_total", "sampled traces persisted to the trace store"),
+		errs:   obs.DefCounter("maest_trace_store_errors_total", "trace persists that failed (encode or store append)"),
+		drops:  obs.DefCounter("maest_trace_store_dropped_total", "sampled traces dropped because the queue was full or the tier was flushing"),
+		depth:  obs.DefGauge("maest_trace_store_queue", "trace write-behind queue depth"),
+	}
+	gTraceIndex = obs.DefGauge("maest_trace_store_indexed", "trace hops resident in the in-memory index")
 )
 
-const (
-	// traceQueueCap bounds pending persists; beyond it, sampled traces
-	// are dropped (counted) rather than blocking the request path.
-	traceQueueCap = 4096
-	// traceIndexCap bounds the in-memory hop index.  The store keeps
-	// everything until its own eviction; the index only caps what
-	// /debug/traces can enumerate without touching disk.
-	traceIndexCap = 65536
-)
+// traceIndexCap bounds the in-memory hop index.  The store keeps
+// everything until its own eviction; the index only caps what
+// /debug/traces can enumerate without touching disk.
+const traceIndexCap = 65536
 
 // traceEntry is one persisted hop in the in-memory index — just
 // enough to answer an index scan without reading the store.
@@ -56,35 +53,19 @@ type traceEntry struct {
 // a no-op, the same idiom as the nil *storeTier.
 type traceTier struct {
 	st *store.Store
-
-	// The queue is a plain slice under a condition variable rather
-	// than a channel: flush-to-empty must be repeatable (tests and the
-	// restart e2e sync the queue mid-run, then keep serving), and a
-	// closed channel only flushes once.
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []obs.FlightRecord
-	closed  bool
-	writing bool // writer holds a drained batch not yet persisted
-	wg      sync.WaitGroup
+	q  *writeBehind[obs.FlightRecord]
 
 	idxMu   sync.RWMutex
 	byTrace map[[16]byte][]store.Key
 	entries []traceEntry // oldest first, bounded by traceIndexCap
-
-	writes atomic.Int64
-	errs   atomic.Int64
-	drops  atomic.Int64
 }
 
 // newTraceTier rebuilds the hop index from the store's NSTrace
-// namespace and starts the writer goroutine.
+// namespace and starts the write-behind queue.
 func newTraceTier(st *store.Store) *traceTier {
 	t := &traceTier{st: st, byTrace: make(map[[16]byte][]store.Key)}
-	t.cond.L = &t.mu
 	t.rebuildIndex()
-	t.wg.Add(1)
-	go t.writer()
+	t.q = newWriteBehind(traceQueueMetrics, t.persist)
 	return t
 }
 
@@ -124,49 +105,16 @@ func (t *traceTier) rebuildIndex() {
 	t.idxMu.Unlock()
 }
 
-func (t *traceTier) writer() {
-	defer t.wg.Done()
-	t.mu.Lock()
-	for {
-		for len(t.queue) == 0 && !t.closed {
-			t.cond.Wait()
-		}
-		if len(t.queue) == 0 {
-			t.mu.Unlock()
-			return
-		}
-		batch := t.queue
-		t.queue = nil
-		t.writing = true
-		gTraceQueue.Set(0)
-		t.mu.Unlock()
-
-		for i := range batch {
-			t.persist(&batch[i])
-		}
-
-		t.mu.Lock()
-		t.writing = false
-		t.cond.Broadcast() // wake sync() waiters
-	}
-}
-
-// persist encodes one flight record and appends it under its hop key.
-func (t *traceTier) persist(rec *obs.FlightRecord) {
+// persist encodes one flight record, appends it under its hop key,
+// and indexes it.
+func (t *traceTier) persist(rec *obs.FlightRecord) error {
 	key, ok := traceHopKey(rec.Trace, rec.Span)
 	if !ok {
-		t.errs.Add(1)
-		mTraceErrs.Inc()
-		return
+		return errBadHopID
 	}
-	payload := obs.EncodeTrace(nil, rec)
-	if err := t.st.Put(store.NSTrace, key, payload); err != nil {
-		t.errs.Add(1)
-		mTraceErrs.Inc()
-		return
+	if err := t.st.Put(store.NSTrace, key, obs.EncodeTrace(nil, rec)); err != nil {
+		return err
 	}
-	t.writes.Add(1)
-	mTraceWrites.Inc()
 	t.indexAdd(traceEntry{
 		key:      key,
 		trace:    [16]byte(key[:16]),
@@ -175,7 +123,12 @@ func (t *traceTier) persist(rec *obs.FlightRecord) {
 		micros:   rec.Micros,
 		unixNano: rec.Time.UnixNano(),
 	})
+	return nil
 }
+
+// errBadHopID marks a flight record whose trace or span id cannot form
+// a hop key; the queue counts it as a persist error.
+var errBadHopID = errors.New("serve: malformed trace or span id")
 
 // traceHopKey builds the NSTrace store key for one hop: trace id (16
 // bytes) + span id (8 bytes) + zero padding, so a distributed trace's
@@ -228,31 +181,16 @@ func (t *traceTier) enqueue(rec obs.FlightRecord) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.closed || len(t.queue) >= traceQueueCap {
-		t.mu.Unlock()
-		t.drops.Add(1)
-		mTraceDrops.Inc()
-		return
-	}
-	t.queue = append(t.queue, rec)
-	gTraceQueue.Set(float64(len(t.queue)))
-	t.mu.Unlock()
-	t.cond.Signal()
+	t.q.enqueue(rec)
 }
 
 // sync blocks until every trace enqueued so far has reached the store,
-// without stopping intake — the deterministic settling point tests and
-// the restart e2e use before asserting on store contents.
+// without stopping intake.
 func (t *traceTier) sync() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	for len(t.queue) > 0 || t.writing {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
+	t.q.sync()
 }
 
 // flush stops intake and blocks until the queue has drained.  Call
@@ -261,11 +199,7 @@ func (t *traceTier) flush() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
-	t.cond.Broadcast()
-	t.wg.Wait()
+	t.q.flush()
 }
 
 // getTrace reads every persisted hop of one trace back from the store,
@@ -366,9 +300,9 @@ func (t *traceTier) tierStats() (TraceTierStats, bool) {
 		return TraceTierStats{}, false
 	}
 	return TraceTierStats{
-		Writes:  t.writes.Load(),
-		Errors:  t.errs.Load(),
-		Dropped: t.drops.Load(),
+		Writes:  t.q.writes.Load(),
+		Errors:  t.q.errs.Load(),
+		Dropped: t.q.drops.Load(),
 		Indexed: t.indexed(),
 	}, true
 }

@@ -26,6 +26,10 @@ go build ./examples/...
 # focused report before the full-tree run below repeats them in bulk.
 go vet ./internal/engine/... ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
 go test -race ./internal/engine/... ./internal/serve ./internal/floorplan ./internal/obs ./internal/store ./cmd/maest-trace
+# The shared write-behind queue and the deadline-vs-result race in the
+# estimate path are timing-sensitive; repeat them so a rare
+# interleaving fails here instead of once in a while.
+go test -race -count=20 -run 'TestWriteBehind|TestErrorPathsCarryIDs' ./internal/serve
 go test -race ./...
 # Coverage ratchet: the packages carrying the incremental (ECO)
 # re-estimation machinery must not lose test coverage.  Floors live in
